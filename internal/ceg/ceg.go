@@ -41,12 +41,21 @@ type Instance struct {
 	// Order lists, per processor id, the node ids in fixed execution
 	// order. Only processors that host at least one node appear.
 	Order map[int][]int
+	// Procs lists the keys of Order canonically: compute processors in id
+	// order, then links in the order the instance first uses them (by
+	// their lowest communication node). Tie-breaks between processors
+	// follow this order, so they depend on the instance alone, never on
+	// link ids.
+	Procs []int
 	// CommEdge maps communication node id → index of the original edge in
 	// the source DAG it carries. Real tasks map to -1.
 	CommEdge []int
-	// Cluster is the target platform (with links materialized).
+	// Cluster is the target platform.
 	Cluster *platform.Cluster
 
+	// power is each node's processor (idle, work, zone), resolved once by
+	// Build so the hot paths never derive a link processor.
+	power []nodePower
 	// idlePower is the instance-local platform idle floor, memoized by
 	// Build: all compute processors plus exactly the links this instance's
 	// communications use. See TotalIdlePower.
@@ -54,6 +63,12 @@ type Instance struct {
 	// zoneIdle is the per-grid-zone split of idlePower (one entry per
 	// cluster zone), memoized by Build. See ZoneIdlePower.
 	zoneIdle []int64
+}
+
+// nodePower is the power draw and grid zone of a node's processor.
+type nodePower struct {
+	idle, work int64
+	zone       int
 }
 
 // N returns the total number of nodes N = n + |E′|.
@@ -119,6 +134,7 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		Order:    map[int][]int{},
 		CommEdge: make([]int, N),
 		Cluster:  cluster,
+		power:    make([]nodePower, N),
 	}
 
 	for v := 0; v < n; v++ {
@@ -126,6 +142,8 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		inst.Proc[v] = m.Proc[v]
 		inst.Dur[v] = cluster.ExecTime(d.Tasks[v].Weight, m.Proc[v])
 		inst.CommEdge[v] = -1
+		p := cluster.Proc(m.Proc[v])
+		inst.power[v] = nodePower{idle: p.Type.Idle, work: p.Type.Work, zone: p.Zone}
 	}
 	for _, ct := range comms {
 		e := d.Edges[ct.edgeIdx]
@@ -174,23 +192,28 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		}
 		if len(tasks) > 0 {
 			inst.Order[p] = append([]int(nil), tasks...)
+			inst.Procs = append(inst.Procs, p)
 		}
 	}
 
 	// Ordering edges on links (E″): communications on the same directed
 	// link execute in order of their reference ready times (ties broken
-	// by edge index, which is deterministic).
-	byLink := map[int][]commTask{}
+	// by edge index, which is deterministic). Links are visited in
+	// first-use order, and each link processor is derived once.
+	linkGroup := make(map[int]int, len(comms)) // link id → index in byLink
+	var byLink [][]commTask
 	for _, ct := range comms {
-		byLink[ct.link] = append(byLink[ct.link], ct)
+		gi, ok := linkGroup[ct.link]
+		if !ok {
+			gi = len(byLink)
+			linkGroup[ct.link] = gi
+			byLink = append(byLink, nil)
+		}
+		byLink[gi] = append(byLink[gi], ct)
 	}
-	links := make([]int, 0, len(byLink))
-	for l := range byLink {
-		links = append(links, l)
-	}
-	sort.Ints(links)
-	for _, l := range links {
-		cts := byLink[l]
+	inst.zoneIdle = make([]int64, cluster.NumZones())
+	for _, cts := range byLink {
+		l := cts[0].link
 		sort.Slice(cts, func(i, j int) bool {
 			if cts[i].ready != cts[j].ready {
 				return cts[i].ready < cts[j].ready
@@ -200,30 +223,25 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		for i := 1; i < len(cts); i++ {
 			addEdge(cts[i-1].node, cts[i].node)
 		}
+		p := cluster.Proc(l)
+		np := nodePower{idle: p.Type.Idle, work: p.Type.Work, zone: p.Zone}
 		order := make([]int, len(cts))
 		for i, ct := range cts {
 			order[i] = ct.node
+			inst.power[ct.node] = np
 		}
 		inst.Order[l] = order
+		inst.Procs = append(inst.Procs, l)
+		// The instance-local idle floor counts each link it uses once.
+		inst.zoneIdle[np.zone] += np.idle
 	}
 
 	// Memoize the instance-local idle floor: compute processors plus the
-	// distinct links this instance's communications occupy. Summing only
-	// the instance's own links (instead of every processor the shared
-	// cluster happens to have materialized) keeps the value — and with it
-	// profile corridors and carbon costs — a pure function of (workflow,
-	// mapping, cluster), independent of what other workflows were planned
-	// on the same cluster before or concurrently.
-	inst.zoneIdle = make([]int64, cluster.NumZones())
+	// distinct links this instance's communications occupy, so the value —
+	// and with it profile corridors and carbon costs — is a pure function
+	// of (workflow, mapping, cluster).
 	for z := range inst.zoneIdle {
-		inst.zoneIdle[z] = cluster.ZoneComputeIdle(z)
-	}
-	seenLink := make(map[int]bool, len(comms))
-	for _, ct := range comms {
-		if !seenLink[ct.link] {
-			seenLink[ct.link] = true
-			inst.zoneIdle[cluster.ZoneOf(ct.link)] += cluster.Proc(ct.link).Type.Idle
-		}
+		inst.zoneIdle[z] += cluster.ZoneComputeIdle(z)
 	}
 	for _, zi := range inst.zoneIdle {
 		inst.idlePower += zi
@@ -257,7 +275,7 @@ func (in *Instance) Validate() error {
 		if in.Proc[v] < 0 || in.Proc[v] >= in.Cluster.NumProcs() {
 			return fmt.Errorf("ceg: node %d on invalid processor %d", v, in.Proc[v])
 		}
-		isLink := in.Cluster.Proc(in.Proc[v]).IsLink()
+		isLink := in.Proc[v] >= in.Cluster.NumCompute()
 		if in.IsComm(v) != isLink {
 			return fmt.Errorf("ceg: node %d comm/link mismatch (comm=%v on link=%v)", v, in.IsComm(v), isLink)
 		}
@@ -288,12 +306,10 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// TotalIdlePower returns the summed idle power of all processors hosting at
-// least one node of this instance, plus all other compute processors.
-// (Links without any node contribute zero, as allowed by Section 3 — even
-// when another workflow sharing the cluster materialized them.) The value
-// is memoized by Build, so it is cheap in the cost-sweep hot paths and
-// independent of concurrent planning on the shared cluster.
+// TotalIdlePower returns the summed idle power of all compute processors
+// plus the links hosting at least one node of this instance. (Links
+// without any node contribute zero, as allowed by Section 3.) The value is
+// memoized by Build, so it is cheap in the cost-sweep hot paths.
 func (in *Instance) TotalIdlePower() int64 {
 	return in.idlePower
 }
@@ -302,7 +318,7 @@ func (in *Instance) TotalIdlePower() int64 {
 func (in *Instance) NumZones() int { return in.Cluster.NumZones() }
 
 // ZoneOf returns the grid zone of node v's processor.
-func (in *Instance) ZoneOf(v int) int { return in.Cluster.ZoneOf(in.Proc[v]) }
+func (in *Instance) ZoneOf(v int) int { return in.power[v].zone }
 
 // ZoneIdlePower returns the instance-local idle floor of grid zone z: the
 // zone's compute processors plus the links of this instance whose source
@@ -314,6 +330,5 @@ func (in *Instance) ZoneIdlePower(z int) int64 {
 
 // ProcPower returns (idle, work) power of node v's processor.
 func (in *Instance) ProcPower(v int) (idle, work int64) {
-	t := in.Cluster.Proc(in.Proc[v]).Type
-	return t.Idle, t.Work
+	return in.power[v].idle, in.power[v].work
 }

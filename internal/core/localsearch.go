@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/ceg"
 	"repro/internal/obs"
@@ -11,20 +12,23 @@ import (
 )
 
 // powerOrder returns the processors sorted by non-increasing P_work, ties
-// by id — the visit order of the Section 5.3 hill climber.
+// in the instance's canonical processor order — the visit order of the
+// Section 5.3 hill climber.
 func powerOrder(inst *ceg.Instance) []int {
-	procs := make([]int, 0, len(inst.Order))
-	for p := range inst.Order {
-		procs = append(procs, p)
+	type procWork struct {
+		proc int
+		work int64
 	}
-	sort.Slice(procs, func(i, j int) bool {
-		wi := inst.Cluster.Proc(procs[i]).Type.Work
-		wj := inst.Cluster.Proc(procs[j]).Type.Work
-		if wi != wj {
-			return wi > wj
-		}
-		return procs[i] < procs[j]
-	})
+	pws := make([]procWork, len(inst.Procs))
+	for i, p := range inst.Procs {
+		_, work := inst.ProcPower(inst.Order[p][0])
+		pws[i] = procWork{p, work}
+	}
+	slices.SortStableFunc(pws, func(a, b procWork) int { return cmp.Compare(b.work, a.work) })
+	procs := make([]int, len(pws))
+	for i, pw := range pws {
+		procs[i] = pw.proc
+	}
 	return procs
 }
 

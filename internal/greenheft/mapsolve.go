@@ -74,9 +74,8 @@ type MapSolveResult struct {
 	Outcomes []PolicyOutcome
 }
 
-// polEval is one candidate's evaluation — instance built in the
-// sequential mapping pass, then solved (possibly concurrently) and
-// reduced strictly in policy order.
+// polEval is one candidate's evaluation — mapped, then solved — reduced
+// strictly in policy order.
 type polEval struct {
 	inst   *ceg.Instance
 	s      *schedule.Schedule
@@ -86,20 +85,49 @@ type polEval struct {
 	err    error // per-candidate scheduling failure (or cancellation)
 }
 
+// EvalCandidates calls eval(i) for every candidate i in 0..n−1. With
+// workers > 1 the calls run on a pool of up to that many goroutines and
+// all of them run; otherwise they run in order on the caller's goroutine
+// and stop after the first call that returns true. Callers reduce the
+// results in index order and return at the first aborting candidate, so
+// the outcome is identical at any worker count.
+func EvalCandidates(n, workers int, eval func(i int) (stop bool)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			if eval(i) {
+				return
+			}
+		}
+		return
+	}
+	idxCh := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idxCh {
+				eval(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idxCh <- i
+	}
+	close(idxCh)
+	wg.Wait()
+}
+
 // MapAndSolve runs the two-pass pipeline for the workflow on the cluster
 // against the per-zone supply zs (whose common horizon is the deadline).
 // Candidates that cannot meet the deadline are skipped; if none can, the
 // first candidate's error is returned. Canceling ctx aborts the search.
 //
-// With opt.Workers > 1 the candidates' solves run concurrently across a
-// bounded pool. The mapping pass stays sequential regardless: link
-// processors materialize on first use with ids assigned in order
-// (platform.Cluster.Link), so candidate mappings must be built in policy
-// order or the instances' processor ids would depend on goroutine
-// interleaving. The solves are independent, and the reduction walks the
-// policies in order — first strictly lower cost wins, errors surface
-// exactly as in the sequential search — so the result is bit-identical
-// at any worker count.
+// With opt.Workers > 1 the candidates are mapped and solved concurrently
+// across a bounded pool: a mapping depends only on the workflow, the
+// policy and the immutable cluster. The reduction walks the policies in
+// order — first strictly lower cost wins, errors surface exactly as in the
+// sequential search — so the result is bit-identical at any worker count.
 func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power.ZoneSet, opt MapSolveOptions) (*MapSolveResult, error) {
 	policies := opt.Policies
 	if len(policies) == 0 {
@@ -109,30 +137,19 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 		return nil, fmt.Errorf("greenheft: MapAndSolve needs a per-zone power supply")
 	}
 
-	// Sequential mapping pass, strictly in policy order (see above). A
-	// structural failure or cancellation stops it; the reduction below
-	// returns at that index, exactly like the sequential search.
-	evals := make([]*polEval, len(policies))
-	mapped := make([]int, 0, len(policies))
-	for i, pol := range policies {
-		if err := scherr.Canceled(ctx.Err()); err != nil {
-			evals[i] = &polEval{err: err}
-			break
-		}
-		inst, err := MapInstance(d, c, Options{Policy: pol, Alpha: opt.Alpha, Zones: zs})
-		if err != nil {
-			evals[i] = &polEval{mapErr: err}
-			break
-		}
-		evals[i] = &polEval{inst: inst, d: core.ASAPMakespan(inst)}
-		mapped = append(mapped, i)
-	}
-
-	// Solve pass: independent per candidate, so it may fan out.
 	candidates := obs.MeterFrom(ctx).Counter("schedd_mapsearch_candidates_total",
 		"map-search candidate mappings scheduled, by policy and outcome", "policy", "outcome")
-	solve := func(i int) {
-		e := evals[i]
+	evals := make([]*polEval, len(policies))
+	EvalCandidates(len(policies), opt.Workers, func(i int) bool {
+		e := &polEval{}
+		evals[i] = e
+		if e.err = scherr.Canceled(ctx.Err()); e.err != nil {
+			return true
+		}
+		if e.inst, e.mapErr = MapInstance(d, c, Options{Policy: policies[i], Alpha: opt.Alpha, Zones: zs}); e.mapErr != nil {
+			return true
+		}
+		e.d = core.ASAPMakespan(e.inst)
 		cctx, csp := obs.Start(ctx, "map-candidate")
 		if opt.Marginal {
 			e.s, e.st, e.err = core.RunMarginalZones(cctx, e.inst, zs, opt.Sched)
@@ -153,40 +170,13 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 			csp.End()
 		}
 		candidates.With(policies[i].String(), outcome).Inc()
-	}
-	if workers := min(opt.Workers, len(mapped)); workers > 1 {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					solve(i)
-				}
-			}()
-		}
-		for _, i := range mapped {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-	} else {
-		for _, i := range mapped {
-			solve(i)
-			if errors.Is(evals[i].err, scherr.ErrCanceled) {
-				break // the reduction below returns at this index
-			}
-		}
-	}
+		return errors.Is(e.err, scherr.ErrCanceled)
+	})
 
 	res := &MapSolveResult{}
 	var firstErr error
 	for i, pol := range policies {
 		e := evals[i]
-		if e == nil {
-			break // unreachable: only indices past an aborting sequential eval
-		}
 		if e.mapErr != nil {
 			return nil, e.mapErr
 		}

@@ -13,9 +13,9 @@ import (
 // TestMapAndSolveWorkersIdentical pins that the candidate fan-out is pure
 // mechanism: MapAndSolve at any Workers count returns the same winning
 // policy, instance shape, schedule, stats, and per-candidate audit trail
-// as the sequential search. Each run gets a fresh cluster so the
-// link-materialization history (which assigns link processor ids in
-// first-use order) starts from the same blank slate.
+// as the sequential search. Every run maps on one shared cluster, which
+// is immutable, so concurrent candidate mapping is safe and no run sees
+// another's history.
 func TestMapAndSolveWorkersIdentical(t *testing.T) {
 	ctx := context.Background()
 	d, err := wfgen.Generate(wfgen.Methylseq, 100, 5)
@@ -23,18 +23,15 @@ func TestMapAndSolveWorkersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Build the shared supply against a throwaway cluster: zone idle/work
-	// totals are functions of the cluster structure, identical across the
-	// per-run clones below.
-	scratch := platform.SmallZoned(5, 3)
-	inst0, err := MapInstance(d, scratch, Options{Policy: EFT})
+	c := platform.SmallZoned(5, 3)
+	inst0, err := MapInstance(d, c, Options{Policy: EFT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	T := 2 * core.ASAPMakespan(inst0)
 	specs := make([]power.ZoneSpec, 3)
 	for z := range specs {
-		gmin, gmax := power.PlatformBounds(inst0.ZoneIdlePower(z), scratch.ZoneComputeWork(z))
+		gmin, gmax := power.PlatformBounds(inst0.ZoneIdlePower(z), c.ZoneComputeWork(z))
 		specs[z] = power.ZoneSpec{Name: string(rune('a' + z)), Scenario: power.Scenarios()[z%4], Gmin: gmin, Gmax: gmax}
 	}
 	zs, err := power.GenerateZones(specs, T, 24, 5)
@@ -44,7 +41,7 @@ func TestMapAndSolveWorkersIdentical(t *testing.T) {
 
 	run := func(workers int) *MapSolveResult {
 		t.Helper()
-		res, err := MapAndSolve(ctx, d, platform.SmallZoned(5, 3), zs, MapSolveOptions{
+		res, err := MapAndSolve(ctx, d, c, zs, MapSolveOptions{
 			Sched:   core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true, SearchWorkers: workers},
 			Workers: workers,
 		})
@@ -73,8 +70,8 @@ func TestMapAndSolveWorkersIdentical(t *testing.T) {
 					workers, v, got.Schedule.Start[v], want.Schedule.Start[v])
 			}
 		}
-		// The winning instances were built on independent cluster clones;
-		// identical processor assignment pins the sequential mapping pass.
+		// Identical processor assignment, link ids included, pins that
+		// concurrent mapping builds the sequential search's instances.
 		for v := range want.Inst.Proc {
 			if got.Inst.Proc[v] != want.Inst.Proc[v] {
 				t.Fatalf("workers=%d: node %d on proc %d != sequential %d",

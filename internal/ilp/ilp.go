@@ -97,9 +97,16 @@ func BuildModel(inst *ceg.Instance, prof *power.Profile) (*milp.Problem, *VarMap
 
 	// The paper estimates M ≥ Σ(P_idle + P_work), which suffices under its
 	// profile generation (budgets never exceed the platform's max power).
-	// For arbitrary profiles, constraint (20) additionally needs
-	// M ≥ G_t − γ_t + ε, so cover the largest budget as well.
-	bigM := float64(inst.Cluster.MaxPower() + 1)
+	// The instance's own bound is the idle floor plus the work power of
+	// every processor hosting a node. For arbitrary profiles, constraint
+	// (20) additionally needs M ≥ G_t − γ_t + ε, so cover the largest
+	// budget as well.
+	maxPower := inst.TotalIdlePower()
+	for _, tasks := range inst.Order {
+		_, work := inst.ProcPower(tasks[0])
+		maxPower += work
+	}
+	bigM := float64(maxPower + 1)
 	if b := float64(prof.MaxBudget() + 1); b > bigM {
 		bigM = b
 	}

@@ -1,19 +1,20 @@
 // Package platform models the target computing platform of Section 3: a
-// cluster of P heterogeneous compute processors plus (conceptually) P(P−1)
-// fictional link processors, one per directed communication link of the
+// cluster of P heterogeneous compute processors plus P(P−1) fictional
+// link processors, one per directed communication link of the
 // fully connected, full-duplex topology.
 //
 // Every processor draws Idle power each time unit and an additional Work
-// power while it executes a task or a communication. Link processors are
-// materialized lazily: a link that never carries a communication contributes
-// zero power, which Section 3 explicitly allows ("we could set the static
-// power of a link that is never used to 0").
+// power while it executes a task or a communication. Compute processors
+// have ids 0..P−1. Link src→dst has the fixed id P + src·(P−1) + dst −
+// [dst > src], so link ids fill [P, P²), and its processor is derived on
+// demand from (linkSeed, src, dst): a cluster is immutable after
+// construction. A link that never carries a communication contributes
+// zero power to an instance, which Section 3 explicitly allows ("we could
+// set the static power of a link that is never used to 0").
 package platform
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -38,7 +39,7 @@ func Table1() []ProcType {
 	}
 }
 
-// Processor is a compute node or a (materialized) communication link.
+// Processor is a compute node or a communication link.
 type Processor struct {
 	ID    int
 	Type  ProcType
@@ -56,21 +57,14 @@ type Processor struct {
 // IsLink reports whether the processor is a communication link.
 func (p *Processor) IsLink() bool { return p.IsLnk }
 
-// Cluster is a set of compute processors plus lazily materialized links.
-//
-// A cluster is safe for concurrent use: one cluster is shared by every
-// workflow a Solver (or the schedd service) plans against it, so link
-// materialization — the only mutation after construction — is serialized
-// behind a mutex while readers work on an immutable copy-on-write
-// processor snapshot (pointers returned by Proc stay valid forever; the
-// Processor values themselves are never mutated).
+// Cluster is a set of P compute processors plus the P(P−1) directed links
+// between them. It is immutable after construction, so one cluster is
+// safely shared by every workflow a Solver (or the schedd service) plans
+// against it, and a link's id and power never depend on planning history.
 type Cluster struct {
-	procs    atomic.Pointer[[]Processor] // copy-on-write snapshot
-	nCompute int
+	procs    []Processor // compute processors; link processors are derived
 	numZones int
-	mu       sync.Mutex     // guards links and snapshot replacement
-	links    map[[2]int]int // (src, dst) → processor id
-	linkSeed uint64         // deterministic link power derivation
+	linkSeed uint64 // deterministic link power derivation
 }
 
 // New creates a cluster with the given processor type counts. counts[i]
@@ -94,7 +88,7 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 	if len(types) != len(counts) {
 		panic("platform: types and counts length mismatch")
 	}
-	c := &Cluster{links: map[[2]int]int{}, linkSeed: linkSeed, numZones: 1}
+	c := &Cluster{linkSeed: linkSeed, numZones: 1}
 	var procs []Processor
 	id := 0
 	for i, pt := range types {
@@ -106,7 +100,6 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 			id++
 		}
 	}
-	c.nCompute = id
 	if zones != nil {
 		if len(zones) != id {
 			panic(fmt.Sprintf("platform: %d zone assignments for %d compute processors", len(zones), id))
@@ -132,7 +125,7 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 			}
 		}
 	}
-	c.procs.Store(&procs)
+	c.procs = procs
 	return c
 }
 
@@ -154,9 +147,6 @@ func RoundRobinZones(P, k int) []int {
 	}
 	return zones
 }
-
-// snapshot returns the current immutable processor list.
-func (c *Cluster) snapshot() []Processor { return *c.procs.Load() }
 
 // Small returns the paper's small cluster: 12 nodes of each of the six
 // Table 1 types (72 compute nodes).
@@ -185,15 +175,20 @@ func LargeZoned(linkSeed uint64, zones int) *Cluster {
 }
 
 // NumCompute returns the number of compute processors P.
-func (c *Cluster) NumCompute() int { return c.nCompute }
+func (c *Cluster) NumCompute() int { return len(c.procs) }
 
 // NumZones returns the number of grid zones (1 unless built with
 // NewZoned).
 func (c *Cluster) NumZones() int { return c.numZones }
 
 // ZoneOf returns the grid zone of the processor with the given id
-// (compute or materialized link).
-func (c *Cluster) ZoneOf(id int) int { return c.snapshot()[id].Zone }
+// (compute or link).
+func (c *Cluster) ZoneOf(id int) int {
+	if id < len(c.procs) {
+		return c.procs[id].Zone
+	}
+	return c.linkProc(id).Zone
+}
 
 // LinkSeed returns the seed that parameterizes the deterministic
 // pseudo-random power of link processors. Together with the compute
@@ -201,59 +196,67 @@ func (c *Cluster) ZoneOf(id int) int { return c.snapshot()[id].Zone }
 // the JSON wire format).
 func (c *Cluster) LinkSeed() uint64 { return c.linkSeed }
 
-// NumProcs returns the number of materialized processors (compute + links
-// created so far).
-func (c *Cluster) NumProcs() int { return len(c.snapshot()) }
+// NumProcs returns the number of processors, P compute plus P(P−1)
+// links: every id in [0, P²) names a processor.
+func (c *Cluster) NumProcs() int { return len(c.procs) * len(c.procs) }
 
-// Proc returns the processor with the given id.
-func (c *Cluster) Proc(id int) *Processor { return &c.snapshot()[id] }
+// Proc returns the processor with the given id. A link processor is
+// derived on each call; its type carries no name (the Gantt export labels
+// links link-src-dst).
+func (c *Cluster) Proc(id int) *Processor {
+	if id < len(c.procs) {
+		return &c.procs[id]
+	}
+	p := c.linkProc(id)
+	return &p
+}
 
-// Procs returns all materialized processors. The slice must not be modified.
-func (c *Cluster) Procs() []Processor { return c.snapshot() }
-
-// Link returns the id of the link processor for the directed link src→dst,
-// materializing it on first use. Its idle and work power are each drawn
-// deterministically from {1, 2} as in Section 6.1 ("we draw the values for
-// Pidle and Pwork randomly between 1 and 2 for communication links"), so a
-// link's power depends only on (linkSeed, src, dst) — never on the order
-// in which concurrent workflows materialize links.
+// Link returns the id P + src·(P−1) + dst − [dst > src] of the link
+// processor for the directed link src→dst.
 func (c *Cluster) Link(src, dst int) int {
+	P := len(c.procs)
 	if src == dst {
 		panic("platform: Link(src, src) requested; same-processor edges have no link")
 	}
-	if src < 0 || src >= c.nCompute || dst < 0 || dst >= c.nCompute {
-		panic(fmt.Sprintf("platform: Link(%d, %d) out of range for %d compute procs", src, dst, c.nCompute))
+	if src < 0 || src >= P || dst < 0 || dst >= P {
+		panic(fmt.Sprintf("platform: Link(%d, %d) out of range for %d compute procs", src, dst, P))
 	}
-	key := [2]int{src, dst}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id, ok := c.links[key]; ok {
-		return id
+	id := P + src*(P-1) + dst
+	if dst > src {
+		id--
 	}
-	h := rng.Mix(c.linkSeed, uint64(src)<<32|uint64(uint32(dst)))
-	idle := int64(1 + h&1)
-	work := int64(1 + (h>>1)&1)
-	old := c.snapshot()
-	id := len(old)
-	procs := make([]Processor, id+1)
-	copy(procs, old)
-	procs[id] = Processor{
-		ID:    id,
-		Type:  ProcType{Name: fmt.Sprintf("link-%d-%d", src, dst), Speed: 1, Idle: idle, Work: work},
-		IsLnk: true,
-		Src:   src,
-		Dst:   dst,
-		Zone:  old[src].Zone, // the transfer draws power in the source's grid
-	}
-	c.procs.Store(&procs)
-	c.links[key] = id
 	return id
 }
 
+// linkProc derives the link processor with the given id, inverting Link.
+// Its idle and work power are each drawn deterministically from {1, 2} as
+// in Section 6.1 ("we draw the values for Pidle and Pwork randomly between
+// 1 and 2 for communication links"), so they depend only on (linkSeed,
+// src, dst). The link draws its power in the source's grid zone.
+func (c *Cluster) linkProc(id int) Processor {
+	P := len(c.procs)
+	if id < P || id >= P*P {
+		panic(fmt.Sprintf("platform: processor id %d out of range for %d compute procs", id, P))
+	}
+	src, dst := (id-P)/(P-1), (id-P)%(P-1)
+	if dst >= src {
+		dst++
+	}
+	h := rng.Mix(c.linkSeed, uint64(src)<<32|uint64(uint32(dst)))
+	return Processor{
+		ID:    id,
+		Type:  ProcType{Speed: 1, Idle: int64(1 + h&1), Work: int64(1 + (h>>1)&1)},
+		IsLnk: true,
+		Src:   src,
+		Dst:   dst,
+		Zone:  c.procs[src].Zone,
+	}
+}
+
 // ExecTime returns the running time ω of a task with the given work weight
-// on processor id: ceil(weight / speed), at least 1 time unit.
+// on compute processor id: ceil(weight / speed), at least 1 time unit.
 func (c *Cluster) ExecTime(weight int64, id int) int64 {
-	sp := c.snapshot()[id].Type.Speed
+	sp := c.procs[id].Type.Speed
 	t := (weight + sp - 1) / sp
 	if t < 1 {
 		t = 1
@@ -271,32 +274,22 @@ func (c *Cluster) CommTime(volume int64) int64 {
 	return volume
 }
 
-// TotalIdle returns the sum of idle power over all materialized processors.
-// This is the constant floor of the platform's power draw.
-func (c *Cluster) TotalIdle() int64 {
-	var sum int64
-	for _, p := range c.snapshot() {
-		sum += p.Type.Idle
-	}
-	return sum
-}
-
 // ComputeIdle returns the summed idle power of compute processors only.
 func (c *Cluster) ComputeIdle() int64 {
-	procs := c.snapshot()
 	var sum int64
-	for i := 0; i < c.nCompute; i++ {
-		sum += procs[i].Type.Idle
+	for i := range c.procs {
+		p := &c.procs[i]
+		sum += p.Type.Idle
 	}
 	return sum
 }
 
 // ComputeWork returns the summed work power of compute processors only.
 func (c *Cluster) ComputeWork() int64 {
-	procs := c.snapshot()
 	var sum int64
-	for i := 0; i < c.nCompute; i++ {
-		sum += procs[i].Type.Work
+	for i := range c.procs {
+		p := &c.procs[i]
+		sum += p.Type.Work
 	}
 	return sum
 }
@@ -304,11 +297,11 @@ func (c *Cluster) ComputeWork() int64 {
 // ZoneComputeIdle returns the summed idle power of the compute processors
 // in zone z. Summed over all zones it equals ComputeIdle.
 func (c *Cluster) ZoneComputeIdle(z int) int64 {
-	procs := c.snapshot()
 	var sum int64
-	for i := 0; i < c.nCompute; i++ {
-		if procs[i].Zone == z {
-			sum += procs[i].Type.Idle
+	for i := range c.procs {
+		p := &c.procs[i]
+		if p.Zone == z {
+			sum += p.Type.Idle
 		}
 	}
 	return sum
@@ -318,23 +311,12 @@ func (c *Cluster) ZoneComputeIdle(z int) int64 {
 // in zone z. Together with ZoneComputeIdle it spans the per-zone
 // green-power corridor (the zone analogue of power.PlatformBounds).
 func (c *Cluster) ZoneComputeWork(z int) int64 {
-	procs := c.snapshot()
 	var sum int64
-	for i := 0; i < c.nCompute; i++ {
-		if procs[i].Zone == z {
-			sum += procs[i].Type.Work
+	for i := range c.procs {
+		p := &c.procs[i]
+		if p.Zone == z {
+			sum += p.Type.Work
 		}
-	}
-	return sum
-}
-
-// MaxPower returns the maximum possible instantaneous power draw: total idle
-// plus the work power of every materialized processor. It is the Big-M bound
-// used by the ILP (Appendix A.4).
-func (c *Cluster) MaxPower() int64 {
-	var sum int64
-	for _, p := range c.snapshot() {
-		sum += p.Type.Idle + p.Type.Work
 	}
 	return sum
 }
@@ -343,10 +325,10 @@ func (c *Cluster) MaxPower() int64 {
 // processors, the normalization constant of the weighting factor wf(i)
 // in Section 5.2.
 func (c *Cluster) MaxTotalPower() int64 {
-	procs := c.snapshot()
 	var max int64
-	for i := 0; i < c.nCompute; i++ {
-		if s := procs[i].Type.Idle + procs[i].Type.Work; s > max {
+	for i := range c.procs {
+		p := &c.procs[i]
+		if s := p.Type.Idle + p.Type.Work; s > max {
 			max = s
 		}
 	}
@@ -362,7 +344,7 @@ func (c *Cluster) WeightFactor(id int) float64 {
 	if den == 0 {
 		return 1
 	}
-	p := c.snapshot()[id]
+	p := c.Proc(id)
 	num := p.Type.Idle + p.Type.Work
 	return float64(num) / float64(den)
 }

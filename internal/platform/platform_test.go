@@ -3,6 +3,8 @@ package platform
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestTable1Spec(t *testing.T) {
@@ -52,34 +54,49 @@ func TestProcIDsStable(t *testing.T) {
 	}
 }
 
-func TestLinkMaterialization(t *testing.T) {
-	c := Small(7)
-	before := c.NumProcs()
-	l1 := c.Link(0, 1)
-	l2 := c.Link(1, 0)
-	l1again := c.Link(0, 1)
-	if l1 == l2 {
-		t.Error("directed links 0→1 and 1→0 must be distinct processors")
+// TestLinkClosedForm pins the closed-form link contract: the P(P−1)
+// directed links have distinct ids filling [P, P²), and each link's
+// processor is derived from (linkSeed, src, dst) alone.
+func TestLinkClosedForm(t *testing.T) {
+	c := SmallZoned(7, 3)
+	P := c.NumCompute()
+	if got := c.NumProcs(); got != P*P {
+		t.Fatalf("NumProcs = %d, want P² = %d", got, P*P)
 	}
-	if l1 != l1again {
-		t.Error("Link is not idempotent")
+	seen := make([]bool, P*P)
+	for s := 0; s < P; s++ {
+		for d := 0; d < P; d++ {
+			if s == d {
+				continue
+			}
+			id := c.Link(s, d)
+			if id < P || id >= P*P || seen[id] {
+				t.Fatalf("Link(%d, %d) = %d: outside [%d, %d) or taken twice", s, d, id, P, P*P)
+			}
+			seen[id] = true
+			p := c.Proc(id)
+			h := rng.Mix(7, uint64(s)<<32|uint64(d))
+			want := Processor{ID: id, Type: ProcType{Speed: 1, Idle: int64(1 + h&1), Work: int64(1 + (h>>1)&1)},
+				IsLnk: true, Src: s, Dst: d, Zone: c.ZoneOf(s)}
+			if *p != want {
+				t.Fatalf("Proc(Link(%d, %d)) = %+v, want %+v", s, d, p, want)
+			}
+			if c.ZoneOf(id) != want.Zone {
+				t.Fatalf("ZoneOf(Link(%d, %d)) = %d, want %d", s, d, c.ZoneOf(id), want.Zone)
+			}
+		}
 	}
-	if c.NumProcs() != before+2 {
-		t.Errorf("expected 2 new processors, got %d", c.NumProcs()-before)
-	}
-	p := c.Proc(l1)
-	if !p.IsLink() || p.Src != 0 || p.Dst != 1 {
-		t.Errorf("link proc metadata wrong: %+v", p)
-	}
-	if p.Type.Idle < 1 || p.Type.Idle > 2 || p.Type.Work < 1 || p.Type.Work > 2 {
-		t.Errorf("link power out of {1,2}: idle=%d work=%d", p.Type.Idle, p.Type.Work)
+	for id := P; id < P*P; id++ {
+		if !seen[id] {
+			t.Fatalf("id %d is no link's id", id)
+		}
 	}
 }
 
 func TestLinkPowerDeterministic(t *testing.T) {
 	a := Small(99)
 	b := Small(99)
-	// Materialize in different orders; same (src,dst) must get same power.
+	// Look links up in different orders; same (src,dst) must get same power.
 	ia := a.Link(3, 5)
 	b.Link(10, 11)
 	ib := b.Link(3, 5)
@@ -91,7 +108,7 @@ func TestLinkPowerDeterministic(t *testing.T) {
 
 func TestLinkPanics(t *testing.T) {
 	c := Small(1)
-	for _, tc := range [][2]int{{0, 0}, {-1, 1}, {0, 100}} {
+	for _, tc := range [][2]int{{0, 0}, {-1, 1}, {0, 100}, {72, 0}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -99,6 +116,24 @@ func TestLinkPanics(t *testing.T) {
 				}
 			}()
 			c.Link(tc[0], tc[1])
+		}()
+	}
+	for _, id := range []int{-1, 72 * 72, 72*72 + 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Proc(%d) did not panic", id)
+				}
+			}()
+			c.Proc(id)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ZoneOf(%d) did not panic", id)
+				}
+			}()
+			c.ZoneOf(id)
 		}()
 	}
 }
@@ -167,13 +202,6 @@ func TestPowerAggregates(t *testing.T) {
 	if got := c.ComputeWork(); got != 3600 {
 		t.Errorf("ComputeWork = %d, want 3600", got)
 	}
-	if got := c.TotalIdle(); got != 7800 {
-		t.Errorf("TotalIdle (no links yet) = %d, want 7800", got)
-	}
-	c.Link(0, 1)
-	if got := c.TotalIdle(); got <= 7800 {
-		t.Errorf("TotalIdle after link = %d, want > 7800", got)
-	}
 	if got := c.MaxTotalPower(); got != 300 {
 		t.Errorf("MaxTotalPower = %d, want 300 (PT6)", got)
 	}
@@ -193,13 +221,6 @@ func TestWeightFactor(t *testing.T) {
 	wf := c.WeightFactor(l)
 	if wf <= 0 || wf > 4.0/300.0 {
 		t.Errorf("link WeightFactor = %v, want tiny positive", wf)
-	}
-}
-
-func TestMaxPower(t *testing.T) {
-	c := New(Table1(), []int{1, 0, 0, 0, 0, 0}, 1)
-	if got := c.MaxPower(); got != 50 {
-		t.Errorf("MaxPower single PT1 = %d, want 50", got)
 	}
 }
 

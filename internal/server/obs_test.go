@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -74,6 +75,12 @@ func TestRequestIDEcho(t *testing.T) {
 	req.Header.Set("X-Request-ID", "req-e2e-42")
 	resp, err := ts.Client().Do(req)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Read to EOF before looking for the trace: the server ends the
+	// request's root span after the handler returns, and the body ends
+	// only then, while an unread body may be closed earlier.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()

@@ -1,10 +1,14 @@
 package cawosched_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/wire"
 )
 
 // TestSolveResponseCache is the acceptance property of the second cache
@@ -116,46 +120,107 @@ func TestSolveResponseCacheKeying(t *testing.T) {
 }
 
 // TestSolverPlanOrderIndependence pins the shared-cluster determinism the
-// service depends on: the result for a workflow must not depend on which
-// other workflows were planned on the same cluster first. (Before the
-// serving PR, the profile corridor summed every materialized link of the
-// shared cluster, so plan order leaked into costs.)
+// service depends on: the response for a workflow — cost, start times and
+// the encoded wire body — must not depend on which other workflows were
+// planned or solved on the same cluster first. Each case warms a shared
+// solver, then compares its answer with a fresh solver's. (Profile
+// corridors once summed every link of the shared cluster, and link ids
+// once followed the cluster's first-use order, so plan history leaked into
+// costs and then into start times and processor ids.)
 func TestSolverPlanOrderIndependence(t *testing.T) {
-	wfA, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 80, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wfB, err := cawosched.GenerateWorkflow(cawosched.Eager, 70, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve := func(s *cawosched.Solver, wf *cawosched.DAG) *cawosched.Response {
+	ctx := context.Background()
+	gen := func(f cawosched.Family, n int, seed uint64) *cawosched.DAG {
 		t.Helper()
-		res, err := s.Solve(context.Background(), cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S2, Seed: 5})
+		wf, err := cawosched.GenerateWorkflow(f, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wf
+	}
+	solve := func(s *cawosched.Solver, req cawosched.Request) *cawosched.Response {
+		t.Helper()
+		res, err := s.Solve(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-
-	ab := cawosched.NewSolver(cawosched.SmallCluster(6))
-	aFirst := solve(ab, wfA)
-	bSecond := solve(ab, wfB)
-
-	ba := cawosched.NewSolver(cawosched.SmallCluster(6))
-	bFirst := solve(ba, wfB)
-	aSecond := solve(ba, wfA)
-
-	if aFirst.Cost != aSecond.Cost || aFirst.ASAPCost != aSecond.ASAPCost || aFirst.Deadline != aSecond.Deadline {
-		t.Errorf("wfA result depends on plan order: cost %d/%d asap %d/%d deadline %d/%d",
-			aFirst.Cost, aSecond.Cost, aFirst.ASAPCost, aSecond.ASAPCost, aFirst.Deadline, aSecond.Deadline)
+	fixed := func(wf *cawosched.DAG) cawosched.Request {
+		return cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S2, Seed: 5}
 	}
-	if bFirst.Cost != bSecond.Cost || bFirst.ASAPCost != bSecond.ASAPCost || bFirst.Deadline != bSecond.Deadline {
-		t.Errorf("wfB result depends on plan order: cost %d/%d", bFirst.Cost, bSecond.Cost)
+	zones3 := []cawosched.Scenario{cawosched.S1, cawosched.S2, cawosched.S3}
+	methyl80, eager70 := gen(cawosched.Methylseq, 80, 1), gen(cawosched.Eager, 70, 2)
+	methyl200, bacass200 := gen(cawosched.Methylseq, 200, 1), gen(cawosched.Bacass, 200, 2)
+	atac120 := gen(cawosched.Atacseq, 120, 3)
+
+	cases := []struct {
+		name    string
+		cluster func() *cawosched.Cluster
+		warm    func(s *cawosched.Solver)
+		req     cawosched.Request
+	}{
+		{"solve-a-then-b", func() *cawosched.Cluster { return cawosched.SmallCluster(6) },
+			func(s *cawosched.Solver) { solve(s, fixed(methyl80)) }, fixed(eager70)},
+		{"solve-b-then-a", func() *cawosched.Cluster { return cawosched.SmallCluster(6) },
+			func(s *cawosched.Solver) { solve(s, fixed(eager70)) }, fixed(methyl80)},
+		{"plan-then-solve", func() *cawosched.Cluster { return cawosched.SmallCluster(6) },
+			func(s *cawosched.Solver) {
+				if _, _, err := s.Plan(ctx, methyl200); err != nil {
+					t.Fatal(err)
+				}
+			}, fixed(bacass200)},
+		{"map-search-then-solve", func() *cawosched.Cluster { return cawosched.SmallZonedCluster(4, 3) },
+			func(s *cawosched.Solver) {
+				req := fixed(methyl200)
+				req.MapSearch, req.ZoneScenarios = true, zones3
+				solve(s, req)
+			},
+			cawosched.Request{Workflow: atac120, Variant: "pressWR-LS", ZoneScenarios: zones3, Seed: 7}},
 	}
-	if !aFirst.Profile.EqualProfile(aSecond.Profile) {
-		t.Error("wfA generated profile depends on plan order")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			shared := cawosched.NewSolver(c.cluster())
+			c.warm(shared)
+			got := solve(shared, c.req)
+			want := solve(cawosched.NewSolver(c.cluster()), c.req)
+			if got.Cost != want.Cost || got.ASAPCost != want.ASAPCost || got.Deadline != want.Deadline {
+				t.Errorf("cost %d/%d asap %d/%d deadline %d/%d after warm-up, want fresh-solver values",
+					got.Cost, want.Cost, got.ASAPCost, want.ASAPCost, got.Deadline, want.Deadline)
+			}
+			if !slices.Equal(got.Schedule.Start, want.Schedule.Start) {
+				t.Error("start times depend on the solver's plan history")
+			}
+			if !bytes.Equal(encodeUntimed(t, got), encodeUntimed(t, want)) {
+				t.Error("encoded response depends on the solver's plan history")
+			}
+		})
 	}
+}
+
+// encodeUntimed encodes a response the way the solve endpoint does, minus
+// the wall-clock timings and the cache flags, which legitimately differ
+// between a warmed and a fresh solver.
+func encodeUntimed(t *testing.T, res *cawosched.Response) []byte {
+	t.Helper()
+	zones := cawosched.CostBreakdownZones(res.Instance, res.Schedule, res.Zones)
+	out := wire.SolveResponse{
+		Variant:      res.Variant,
+		Mapping:      res.Mapping,
+		ASAPMakespan: res.D,
+		Deadline:     res.Deadline,
+		Cost:         res.Cost,
+		ASAPCost:     res.ASAPCost,
+		Schedule:     cawosched.ExportSchedule(res.Instance, res.Schedule),
+		Zones:        zones,
+	}
+	if res.Zones.Single() {
+		out.Intervals = zones[0].Intervals
+	}
+	raw, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestSolveResponseCacheEviction pins the LRU bound: with a limit of 2,

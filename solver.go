@@ -978,12 +978,9 @@ func runCore(ctx context.Context, inst *Instance, zones *ZoneSet, opt Options, m
 // generated from the request, so the search never returns a plan worse
 // than fixed-mapping scheduling.
 //
-// With opt.SearchWorkers > 1 the candidates' solves run concurrently
-// across a bounded pool. The planning pass stays sequential in policy
-// order regardless: building a mapped plan materializes link processors,
-// whose ids are assigned in first-use order (platform.Cluster.Link), so
-// racing the builds would make instance processor ids depend on goroutine
-// interleaving. The solves are independent, and the reduction walks the
+// With opt.SearchWorkers > 1 the candidates are planned and solved
+// concurrently across a bounded pool: a plan depends only on the
+// workflow, the policy and the immutable cluster. The reduction walks the
 // policies in order, so the winner and errors match the sequential search
 // exactly — responses are byte-identical at any worker count.
 func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt Options, variant string) (*Response, error) {
@@ -996,20 +993,14 @@ func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt
 		err     error // per-candidate scheduling failure (or cancellation)
 	}
 	outcomes := make([]*polOutcome, len(policies))
-	mapped := make([]int, 0, len(policies))
-	for i, pol := range policies {
-		r := &polOutcome{}
-		outcomes[i] = r
-		r.e, _, r.planErr = s.planFor(ctx, req.Workflow, pol, zones)
-		if r.planErr != nil {
-			break // the reduction below returns at this index
-		}
-		mapped = append(mapped, i)
-	}
 	candidates := obs.MeterFrom(ctx).Counter("schedd_mapsearch_candidates_total",
 		"map-search candidate mappings scheduled, by policy and outcome", "policy", "outcome")
-	solve := func(i int) {
-		r := outcomes[i]
+	greenheft.EvalCandidates(len(policies), opt.SearchWorkers, func(i int) bool {
+		r := &polOutcome{}
+		outcomes[i] = r
+		if r.e, _, r.planErr = s.planFor(ctx, req.Workflow, policies[i], zones); r.planErr != nil {
+			return true
+		}
 		cctx, csp := obs.Start(ctx, "map-candidate")
 		r.sched, r.st, r.err = runCore(cctx, r.e.inst, zones, opt, req.Marginal)
 		outcome := "ok"
@@ -1026,40 +1017,13 @@ func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt
 			csp.End()
 		}
 		candidates.With(policies[i].String(), outcome).Inc()
-	}
-	if workers := min(opt.SearchWorkers, len(mapped)); workers > 1 {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					solve(i)
-				}
-			}()
-		}
-		for _, i := range mapped {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-	} else {
-		for _, i := range mapped {
-			solve(i)
-			if errors.Is(outcomes[i].err, ErrCanceled) {
-				break // the reduction below returns at this index
-			}
-		}
-	}
+		return errors.Is(r.err, ErrCanceled)
+	})
 
 	var best *Response
 	var firstErr error
 	for i, pol := range policies {
 		r := outcomes[i]
-		if r == nil {
-			break // unreachable: only indices past an aborting sequential eval
-		}
 		if r.planErr != nil {
 			return nil, r.planErr
 		}
