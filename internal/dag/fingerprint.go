@@ -1,8 +1,10 @@
 package dag
 
-import (
-	"hash"
-	"hash/fnv"
+// FNV-1a 64-bit parameters (the offset basis and prime of hash/fnv's
+// New64a, whose digests Hash reproduces).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
 )
 
 // Hash is an incremental FNV-1a 64-bit digest with a fixed, length-prefixed
@@ -10,21 +12,25 @@ import (
 // builder of the repository: DAG.Fingerprint uses it for workflows,
 // power.Profile.Digest for green power profiles, and the solver combines
 // both into its solve-response cache key — so every cache layer hashes the
-// same input the same way.
+// same input the same way. The state is one inline word rather than a
+// hash.Hash64, so feeding it never allocates; the digests are exactly
+// hash/fnv's New64a over the same bytes (pinned by a golden test), which
+// keeps cache-tier keys stable across processes and builds.
 type Hash struct {
-	h hash.Hash64
+	s uint64
 }
 
 // NewHash returns an empty FNV-1a 64-bit digest.
-func NewHash() *Hash { return &Hash{h: fnv.New64a()} }
+func NewHash() *Hash { return &Hash{s: fnvOffset64} }
 
 // U64 feeds one 64-bit value (little-endian) into the digest.
 func (h *Hash) U64(x uint64) {
-	var buf [8]byte
+	s := h.s
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(x >> (8 * i))
+		s ^= (x >> (8 * i)) & 0xff
+		s *= fnvPrime64
 	}
-	h.h.Write(buf[:])
+	h.s = s
 }
 
 // I64 feeds one signed 64-bit value into the digest.
@@ -32,13 +38,17 @@ func (h *Hash) I64(x int64) { h.U64(uint64(x)) }
 
 // Str feeds a NUL-terminated string into the digest (the terminator keeps
 // adjacent strings from sliding into each other).
-func (h *Hash) Str(s string) {
-	h.h.Write([]byte(s))
-	h.h.Write([]byte{0})
+func (h *Hash) Str(str string) {
+	s := h.s
+	for i := 0; i < len(str); i++ {
+		s ^= uint64(str[i])
+		s *= fnvPrime64
+	}
+	h.s = s * fnvPrime64 // the NUL byte: s ^= 0 is a no-op
 }
 
 // Sum64 returns the digest of everything fed so far.
-func (h *Hash) Sum64() uint64 { return h.h.Sum64() }
+func (h *Hash) Sum64() uint64 { return h.s }
 
 // Equal reports whether two DAGs are structurally identical: same task
 // weights and names, same edges in the same insertion order with the same

@@ -38,6 +38,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -351,6 +352,31 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) // a write error means the client is gone; nothing to do
 }
 
+// maxPooledBody bounds the solve-body buffers kept for reuse: a rare
+// oversized response is left to the garbage collector instead of pinning
+// its buffer in the pool.
+const maxPooledBody = 4 << 20
+
+// bodyPool recycles solve-body buffers across requests.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeBody writes a 200 JSON body that appendBody renders into a pooled
+// buffer: one Write with an exact Content-Length. The solve endpoints use
+// it with the wire appenders, which write the bytes writeJSON would.
+func (s *Server) writeBody(w http.ResponseWriter, appendBody func([]byte) []byte) {
+	bp := bodyPool.Get().(*[]byte)
+	b := appendBody((*bp)[:0])
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) // a write error means the client is gone; nothing to do
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyPool.Put(bp)
+	}
+}
+
 func (s *Server) writeError(w http.ResponseWriter, werr *wire.Error) {
 	s.writeJSON(w, scherr.StatusForCode(werr.Code), wire.ErrorResponse{Error: werr})
 }
@@ -516,7 +542,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, werr)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeBody(w, func(b []byte) []byte { return wire.AppendSolveResponse(b, resp, "") })
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -581,7 +607,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, wire.BatchResponse{Results: results})
+	s.writeBody(w, func(b []byte) []byte { return wire.AppendBatchResponse(b, &wire.BatchResponse{Results: results}) })
 }
 
 func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	cawosched "repro"
 	"repro/internal/wire"
@@ -275,4 +277,81 @@ func TestSolveResponseCacheEviction(t *testing.T) {
 	if must("press").CacheHit {
 		t.Error("disabled cache returned a hit")
 	}
+}
+
+// TestSolveCacheRetainsNoRequestDAG: once a workflow's plan is memoized,
+// the solve cache, the flights and the later plan lookups key on the
+// memo's copy, so a request that brings an equal but distinct decoded DAG
+// leaves nothing pinning that copy — neither the fixed-mapping entry its
+// solve miss stores nor the zone-aware plans a map-search builds.
+func TestSolveCacheRetainsNoRequestDAG(t *testing.T) {
+	wf, err := cawosched.GenerateWorkflow(cawosched.Bacass, 60, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(wire.FromDAG(wf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *cawosched.DAG {
+		var w wire.DAG
+		if err := json.Unmarshal(body, &w); err != nil {
+			t.Fatal(err)
+		}
+		d, err := w.ToDAG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	solver := cawosched.NewSolver(cawosched.SmallZonedCluster(5, 3))
+	ctx := context.Background()
+	if _, err := solver.Solve(ctx, cawosched.Request{Workflow: decode(), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// solveCopy solves req with a freshly decoded copy of the workflow
+	// and returns only a weak pointer to that copy.
+	solveCopy := func(req cawosched.Request) weak.Pointer[cawosched.DAG] {
+		req.Workflow = decode()
+		resp, err := solver.Solve(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.PlanHit || resp.CacheHit {
+			t.Fatalf("seed %d: plan_hit=%v cache_hit=%v, want a plan hit and a solve miss", req.Seed, resp.PlanHit, resp.CacheHit)
+		}
+		return weak.Make(req.Workflow)
+	}
+	// The fixed-mapping request also brings its own explicit supply, which
+	// the stored entry must not retain either (it keeps a clone).
+	inst, _, err := solver.Plan(ctx, wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := func() (cawosched.Request, weak.Pointer[cawosched.ZoneSet]) {
+		zones, err := solver.ZonesFor(ctx, inst, cawosched.Request{Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cawosched.Request{Zones: zones, Seed: 2}, weak.Make(zones)
+	}
+	req, zonesPtr := explicit()
+	copies := []weak.Pointer[cawosched.DAG]{
+		solveCopy(req),
+		solveCopy(cawosched.Request{Seed: 3, MapSearch: true}),
+	}
+	if n := solver.Stats().SolveEntries; n != 3 {
+		t.Fatalf("solve cache holds %d entries, want 3", n)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, p := range copies {
+		if p.Value() != nil {
+			t.Errorf("request %d: the decoded DAG is still reachable after GC", i+1)
+		}
+	}
+	if zonesPtr.Value() != nil {
+		t.Error("the explicit zone set of request 1 is still reachable after GC")
+	}
+	runtime.KeepAlive(solver) // its caches are what must not pin the copies
 }

@@ -382,15 +382,14 @@ type solveKey struct {
 }
 
 // solveEntry is one cached response. The stored Response owns private
-// copies of the mutable parts (Schedule); the workflow and zone set are
-// retained as collision guards, exactly like planEntry guards the plan
-// cache.
+// copies of the mutable parts (Schedule, Zones); the workflow and the
+// stored zone set are the collision guards, exactly like planEntry
+// guards the plan cache.
 type solveEntry struct {
-	key   solveKey
-	wf    *DAG
-	zones *ZoneSet
-	resp  Response
-	elem  *list.Element
+	key  solveKey
+	wf   *DAG
+	resp Response
+	elem *list.Element
 }
 
 // normalizeOptions applies the paper defaults to the tuning fields so that
@@ -405,25 +404,29 @@ func normalizeOptions(opt Options) Options {
 	return opt
 }
 
-// plan returns the memoized legacy (HEFT) entry for the workflow.
-func (s *Solver) plan(ctx context.Context, wf *DAG) (*planEntry, bool, error) {
-	return s.planFor(ctx, wf, greenheft.EFT, nil)
+// plan returns the memoized legacy (HEFT) entry for the workflow and the
+// workflow's fingerprint — computed here once per request; every later
+// plan and solve key of the request reuses it.
+func (s *Solver) plan(ctx context.Context, wf *DAG) (e *planEntry, fp uint64, hit bool, err error) {
+	if wf == nil {
+		return nil, 0, false, fmt.Errorf("cawosched: Plan: nil workflow")
+	}
+	fp = wf.Fingerprint()
+	e, hit, err = s.planFor(ctx, wf, fp, greenheft.EFT, nil)
+	return e, fp, hit, err
 }
 
 // planFor returns the memoized entry for (workflow, mapping policy),
-// building it if needed. zones is consulted only by zone-aware policies:
-// it enters the key as the zone-set digest (with a structural collision
-// guard), because those policies map differently under different per-zone
-// forecasts.
-func (s *Solver) planFor(ctx context.Context, wf *DAG, pol greenheft.Policy, zones *ZoneSet) (*planEntry, bool, error) {
-	if wf == nil {
-		return nil, false, fmt.Errorf("cawosched: Plan: nil workflow")
-	}
+// building it if needed; fp is wf's fingerprint. zones is consulted only
+// by zone-aware policies: it enters the key as the zone-set digest (with
+// a structural collision guard), because those policies map differently
+// under different per-zone forecasts.
+func (s *Solver) planFor(ctx context.Context, wf *DAG, fp uint64, pol greenheft.Policy, zones *ZoneSet) (*planEntry, bool, error) {
 	if err := scherr.Canceled(ctx.Err()); err != nil {
 		return nil, false, err
 	}
 	var pz *ZoneSet
-	key := planKey{fp: wf.Fingerprint(), policy: pol}
+	key := planKey{fp: fp, policy: pol}
 	if pol.ZoneAware() {
 		if zones == nil {
 			return nil, false, fmt.Errorf("cawosched: mapping policy %s needs a per-zone supply: %w", pol, ErrInvalidRequest)
@@ -455,7 +458,7 @@ func (s *Solver) planFor(ctx context.Context, wf *DAG, pol greenheft.Policy, zon
 // against collisions). Concurrent calls with the same workflow share one
 // construction; repeated calls are cache hits.
 func (s *Solver) Plan(ctx context.Context, wf *DAG) (*Instance, bool, error) {
-	e, hit, err := s.plan(ctx, wf)
+	e, _, hit, err := s.plan(ctx, wf)
 	if err != nil {
 		return nil, hit, err
 	}
@@ -677,6 +680,8 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	var inst *Instance
 	var asap *Schedule
 	var D int64
+	var wf *DAG
+	var fp uint64
 	planHit := false
 	pctx, psp := obs.Start(ctx, "plan")
 	if req.Instance != nil {
@@ -685,12 +690,17 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 		D = Makespan(inst, asap)
 	} else {
 		var e *planEntry
-		e, planHit, err = s.plan(pctx, req.Workflow)
+		e, fp, planHit, err = s.plan(pctx, req.Workflow)
 		if err != nil {
 			psp.End()
 			return nil, err
 		}
-		inst, asap, D = e.inst, e.asap, e.d
+		// From here on the request's workflow is the plan memo's copy,
+		// which planFor has checked equal to it: the solve cache, the
+		// flights and the later plan lookups then pin no per-request
+		// decoded DAG, and their collision guards pass on pointer
+		// equality.
+		inst, asap, D, wf = e.inst, e.asap, e.d, e.wf
 	}
 	if psp != nil {
 		psp.SetAttr("hit", planHit)
@@ -718,6 +728,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 
 	job := &solveJob{
 		req: req, opt: opt, variant: variant, pol: pol,
+		wf: wf, fp: fp,
 		inst: inst, asap: asap, D: D, planHit: planHit,
 		zones: zones, prof: prof,
 	}
@@ -738,7 +749,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	// any non-EFT mapping pass runs, so a warmed hit never pays for
 	// rebuilding a mapped plan the stored response already embodies.
 	key := solveKey{
-		fp:        req.Workflow.Fingerprint(),
+		fp:        fp,
 		digest:    zones.Digest(),
 		deadline:  zones.T(),
 		opt:       normalizeOptions(opt),
@@ -749,7 +760,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 		key.policy = pol
 	}
 	_, csp := obs.Start(ctx, "solve-cache")
-	if resp, ok := s.solveCacheGet(key, req.Workflow, zones); ok {
+	if resp, ok := s.solveCacheGet(key, wf, zones); ok {
 		s.solveHits.Add(1)
 		csp.SetAttr("hit", true)
 		csp.End()
@@ -766,7 +777,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	// but are never cached; a follower whose own context dies detaches
 	// without disturbing the leader.
 	for {
-		f, leader := s.joinFlight(key, req.Workflow, zones)
+		f, leader := s.joinFlight(key, wf, zones)
 		if leader {
 			return s.leadSolve(ctx, clock, key, f, job)
 		}
@@ -779,7 +790,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.solveCachePut(key, req.Workflow, zones, resp)
+			s.solveCachePut(key, wf, zones, resp)
 			resp.Timings = clock.timings
 			return resp, nil
 		}
@@ -830,6 +841,8 @@ type solveJob struct {
 	opt     Options
 	variant string
 	pol     MappingPolicy
+	wf      *DAG   // the plan memo's copy of req.Workflow (nil for a prebuilt instance)
+	fp      uint64 // wf's fingerprint
 	inst    *Instance
 	asap    *Schedule
 	D       int64
@@ -872,7 +885,7 @@ func (s *Solver) leadSolve(ctx context.Context, clock *stageClock, key solveKey,
 		clock.mark("tier")
 		if ok {
 			s.tierHits.Add(1)
-			s.solveCachePut(key, job.req.Workflow, job.zones, tresp)
+			s.solveCachePut(key, job.wf, job.zones, tresp)
 			published = true
 			s.finishFlight(key, f, sharedCopy(tresp), nil)
 			return finishShared(tresp, job, clock), nil
@@ -885,7 +898,7 @@ func (s *Solver) leadSolve(ctx context.Context, clock *stageClock, key solveKey,
 		s.finishFlight(key, f, nil, err) // propagate, never cache
 		return nil, err
 	}
-	s.solveCachePut(key, job.req.Workflow, job.zones, resp)
+	s.solveCachePut(key, job.wf, job.zones, resp)
 	if s.tier != nil {
 		s.tierPut(ctx, key, resp)
 	}
@@ -904,7 +917,7 @@ func (s *Solver) compute(ctx context.Context, clock *stageClock, job *solveJob) 
 	var resp *Response
 	if req.MapSearch {
 		mctx, msp := obs.Start(ctx, "map-search")
-		resp, err := s.mapSearch(mctx, req, zones, opt, job.variant)
+		resp, err := s.mapSearch(mctx, job)
 		if err != nil {
 			msp.End()
 			return nil, err
@@ -920,7 +933,7 @@ func (s *Solver) compute(ctx context.Context, clock *stageClock, job *solveJob) 
 	}
 	if job.pol != MapEFT {
 		mctx, msp := obs.Start(ctx, "map")
-		me, mhit, err := s.planFor(mctx, req.Workflow, job.pol, zones)
+		me, mhit, err := s.planFor(mctx, job.wf, job.fp, job.pol, zones)
 		if err != nil {
 			msp.End()
 			return nil, err
@@ -983,7 +996,8 @@ func runCore(ctx context.Context, inst *Instance, zones *ZoneSet, opt Options, m
 // workflow, the policy and the immutable cluster. The reduction walks the
 // policies in order, so the winner and errors match the sequential search
 // exactly — responses are byte-identical at any worker count.
-func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt Options, variant string) (*Response, error) {
+func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error) {
+	zones, opt := job.zones, job.opt
 	policies := greenheft.AllPolicies()
 	type polOutcome struct {
 		e       *planEntry
@@ -998,11 +1012,11 @@ func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt
 	greenheft.EvalCandidates(len(policies), opt.SearchWorkers, func(i int) bool {
 		r := &polOutcome{}
 		outcomes[i] = r
-		if r.e, _, r.planErr = s.planFor(ctx, req.Workflow, policies[i], zones); r.planErr != nil {
+		if r.e, _, r.planErr = s.planFor(ctx, job.wf, job.fp, policies[i], zones); r.planErr != nil {
 			return true
 		}
 		cctx, csp := obs.Start(ctx, "map-candidate")
-		r.sched, r.st, r.err = runCore(cctx, r.e.inst, zones, opt, req.Marginal)
+		r.sched, r.st, r.err = runCore(cctx, r.e.inst, zones, opt, job.req.Marginal)
 		outcome := "ok"
 		if r.err != nil {
 			outcome = "error"
@@ -1044,7 +1058,7 @@ func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt
 			Instance: r.e.inst,
 			Zones:    zones,
 			Stats:    r.st,
-			Variant:  variant,
+			Variant:  job.variant,
 			Mapping:  pol.String(),
 			D:        r.e.d,
 			Deadline: zones.T(),

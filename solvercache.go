@@ -333,7 +333,7 @@ func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response
 	lockContended(&sh.mu, &s.solveContention)
 	defer sh.mu.Unlock()
 	e, ok := sh.responses[key]
-	if !ok || !e.wf.Equal(wf) || !e.zones.EqualZoneSet(zones) {
+	if !ok || !e.wf.Equal(wf) || !e.resp.Zones.EqualZoneSet(zones) {
 		return nil, false
 	}
 	sh.lru.MoveToFront(e.elem)
@@ -345,7 +345,9 @@ func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response
 
 // solveCachePut stores a successful response under the key, evicting the
 // shard's least-recently-used entry when it is full. The cache keeps its
-// own Schedule clone so later caller mutations cannot corrupt it.
+// own Schedule clone so later caller mutations cannot corrupt it, and a
+// private clone of the zone set as the stored response's supply (and
+// collision guard) — the request's own set is not retained.
 func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, resp *Response) {
 	sh := s.solveShardFor(key)
 	lockContended(&sh.mu, &s.solveContention)
@@ -355,19 +357,23 @@ func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, resp *Resp
 	}
 	stored := *resp
 	stored.Schedule = resp.Schedule.Clone()
+	stored.Zones = zones.Clone()
+	if stored.Profile != nil {
+		stored.Profile = stored.Zones.Profile(0)
+	}
 	stored.CacheHit = false
 	stored.Coalesced = false
 	stored.Timings = nil // stale wall clock must never be served from cache
 	if e, ok := sh.responses[key]; ok {
 		// Overwrite (e.g. a collision victim re-solved): freshest wins.
-		e.wf, e.zones, e.resp = wf, zones.Clone(), stored
+		e.wf, e.resp = wf, stored
 		sh.lru.MoveToFront(e.elem)
 		return
 	}
 	for len(sh.responses) >= sh.cap {
 		sh.evictOldestLocked()
 	}
-	e := &solveEntry{key: key, wf: wf, zones: zones.Clone(), resp: stored}
+	e := &solveEntry{key: key, wf: wf, resp: stored}
 	e.elem = sh.lru.PushFront(e)
 	sh.responses[key] = e
 }
